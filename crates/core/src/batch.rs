@@ -93,12 +93,8 @@ impl StackedLbfgs {
                 "StackedLbfgs: clients must be strictly ascending"
             );
             let s = approx.pairs();
-            for j in 0..s {
-                data.extend(approx.dg_mat().col(j));
-            }
-            for j in 0..s {
-                data.extend(approx.dw_mat().col(j));
-            }
+            approx.dg_mat().extend_transposed(&mut data);
+            approx.dw_mat().extend_transposed(&mut data);
             entries.push(StackedEntry {
                 offset,
                 pairs: s,
@@ -414,8 +410,10 @@ pub struct RoundScratch {
     pub stored: Vec<f32>,
     /// `est − stored` for the pair being pushed.
     pub dg: Vec<f32>,
-    /// `f64` accumulator reused by lr calibration windows.
+    /// `f64` accumulator of the round's aggregate.
     pub acc64: Vec<f64>,
+    /// The round's aggregated update.
+    pub agg: Vec<f32>,
 }
 
 impl RoundScratch {

@@ -24,7 +24,7 @@
 use crate::batch::{RoundScratch, StackedLbfgs};
 use crate::error::UnlearnError;
 use crate::lbfgs::{LbfgsApprox, PairBuffer};
-use fuiov_fl::aggregate::aggregate_refs;
+use fuiov_fl::aggregate::aggregate_refs_into;
 use fuiov_fl::config::AggregationRule;
 use fuiov_storage::{ClientId, HistoryStore, Round};
 use fuiov_tensor::{pool, vector};
@@ -679,9 +679,7 @@ impl ReplayState {
         }
         let n_part = self.roster.len();
 
-        if n_part == 0 {
-            self.update_norms.push(0.0);
-        } else {
+        if n_part > 0 {
             // Passes 1+2 of the batched round: one fused column-dot sweep
             // of dw_t over the whole stack (or the cross-job sweep's slice
             // of the very same dots), then every client's tiny middle
@@ -712,40 +710,52 @@ impl ReplayState {
             // clipped rows are bitwise unchanged.
             let obs_on = fuiov_obs::enabled();
             pool::par_row_bands_weighted(est_buf, n_part, dim, dim, |rows, band| {
-                for (row, p) in band.chunks_mut(dim).zip(rows) {
-                    let (client, entry) = roster_ref[p];
-                    let dir = view_ref.direction(client).expect("roster checked");
-                    dir.decode_into(row);
-                    if let Some(e) = entry {
-                        stacked_ref.accumulate_correction(e, ps, dw_t, row);
+                let mut p = rows.start;
+                for group in band.chunks_mut(CLIP_GROUP * dim) {
+                    for row in group.chunks_mut(dim) {
+                        let (client, entry) = roster_ref[p];
+                        p += 1;
+                        let dir = view_ref.direction(client).expect("roster checked");
+                        dir.decode_into(row);
+                        if let Some(e) = entry {
+                            stacked_ref.accumulate_correction(e, ps, dw_t, row);
+                        }
                     }
                     if obs_on {
-                        let pre = vector::l2_norm(row);
-                        vector::clip_elementwise(row, config.clip_threshold);
-                        let post = vector::l2_norm(row);
-                        fuiov_obs::histogram!("core.clip_pre_norm_micros")
-                            .observe_scaled(pre as f64);
-                        fuiov_obs::histogram!("core.clip_post_norm_micros")
-                            .observe_scaled(post as f64);
-                        if post.to_bits() != pre.to_bits() {
-                            fuiov_obs::counter!("core.clip_activations").inc();
-                        }
+                        clip_rows_observed(group, dim, config.clip_threshold);
                     } else {
-                        vector::clip_elementwise(row, config.clip_threshold);
+                        for row in group.chunks_mut(dim) {
+                            vector::clip_elementwise(row, config.clip_threshold);
+                        }
                     }
                 }
             });
 
             let refs: Vec<&[f32]> = est_buf.chunks(dim).collect();
-            let agg = aggregate_refs(config.aggregation, &refs, &self.weights);
-            vector::axpy(-config.lr, &agg, &mut self.params);
-            self.update_norms.push(vector::l2_norm(&agg));
+            aggregate_refs_into(
+                config.aggregation,
+                &refs,
+                &self.weights,
+                &mut scratch.acc64,
+                &mut scratch.agg,
+            );
+            vector::axpy(-config.lr, &scratch.agg, &mut self.params);
         }
+        // Both per-round norms in one interleaved pass (each is bitwise its
+        // own `l2_norm`).
+        let dw_norm = if n_part == 0 {
+            self.update_norms.push(0.0);
+            vector::l2_norm(&scratch.dw_t)
+        } else {
+            let mut norms = [0.0f32; 2];
+            vector::l2_norms_into(&[&scratch.agg, &scratch.dw_t], &mut norms);
+            self.update_norms.push(norms[0]);
+            norms[1]
+        };
 
         // ---- Vector-pair refresh: periodic, plus the §IV-B adaptive
         // trigger when the recovered trajectory keeps drifting away from
         // the historical one. ----
-        let dw_norm = vector::l2_norm(&scratch.dw_t);
         if dw_norm > self.prev_dw_norm {
             self.growth_run += 1;
         } else {
@@ -822,6 +832,42 @@ impl ReplayState {
             update_norms: self.update_norms,
         }
     }
+}
+
+/// Estimate rows per clip group: the row count of one interleaved
+/// [`vector::l2_norms_into`] pass.
+const CLIP_GROUP: usize = 4;
+
+/// Clips each `dim`-long row of `group` (at most [`CLIP_GROUP`] rows)
+/// element-wise at `l`, observing every row's L2 norm before and after
+/// into `core.clip_pre_norm_micros` / `core.clip_post_norm_micros` and
+/// counting the rows whose norm the clip changed. The norms come from the
+/// interleaved multi-row kernel, each bitwise its row's `l2_norm`.
+fn clip_rows_observed(group: &mut [f32], dim: usize, l: f32) {
+    let n = group.len() / dim;
+    let mut pre = [0.0f32; CLIP_GROUP];
+    let mut post = [0.0f32; CLIP_GROUP];
+    row_norms(group, dim, &mut pre[..n]);
+    for row in group.chunks_mut(dim) {
+        vector::clip_elementwise(row, l);
+    }
+    row_norms(group, dim, &mut post[..n]);
+    for (&pre, &post) in pre[..n].iter().zip(&post[..n]) {
+        fuiov_obs::histogram!("core.clip_pre_norm_micros").observe_scaled(pre as f64);
+        fuiov_obs::histogram!("core.clip_post_norm_micros").observe_scaled(post as f64);
+        if post.to_bits() != pre.to_bits() {
+            fuiov_obs::counter!("core.clip_activations").inc();
+        }
+    }
+}
+
+/// The norms of `group`'s `dim`-long rows into `out` (one slot per row).
+fn row_norms(group: &[f32], dim: usize, out: &mut [f32]) {
+    let mut rows: [&[f32]; CLIP_GROUP] = [&[]; CLIP_GROUP];
+    for (slot, row) in rows.iter_mut().zip(group.chunks(dim)) {
+        *slot = row;
+    }
+    vector::l2_norms_into(&rows[..out.len()], out);
 }
 
 /// Stored direction for `(round, client)`, else a quantised oracle

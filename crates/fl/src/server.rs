@@ -16,7 +16,6 @@ use fuiov_storage::history::FullGradientStore;
 use fuiov_storage::{ClientId, HistoryStore, Round};
 use fuiov_tensor::rng::{rng_for, streams};
 use fuiov_tensor::vector;
-use parking_lot::Mutex;
 use rand::seq::SliceRandom;
 
 /// Summary of one training round.
@@ -367,39 +366,21 @@ impl Server {
             return out;
         }
 
-        // Fan out across a bounded pool of scoped threads. `iter_mut`
-        // yields disjoint `&mut` borrows, so handing each to exactly one
-        // thread's work list is safe without any interior mutability on
-        // the clients themselves.
+        // Fan out over the shared worker pool in contiguous bands of
+        // clients. `iter_mut` yields disjoint `&mut` borrows in ascending
+        // client order and each slot receives its own client's gradient,
+        // so the output is in ascending client order at any pool width.
         let active_set: std::collections::HashSet<usize> = active.iter().copied().collect();
-        let mut work: Vec<(usize, &mut Box<dyn Client>)> = clients
+        let mut work: Vec<(usize, &mut Box<dyn Client>, Vec<f32>)> = clients
             .iter_mut()
             .enumerate()
             .filter(|(i, _)| active_set.contains(i))
+            .map(|(i, client)| (i, client, Vec::new()))
             .collect();
-        // Same worker-count knob as the tensor kernels (FUIOV_THREADS).
-        let threads = fuiov_tensor::pool::threads().min(work.len()).max(1);
-        let mut assignments: Vec<Vec<(usize, &mut Box<dyn Client>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, item) in work.drain(..).enumerate() {
-            assignments[i % threads].push(item);
-        }
-        let results: Mutex<Vec<(usize, Vec<f32>)>> = Mutex::new(Vec::with_capacity(active.len()));
-        crossbeam::scope(|scope| {
-            for chunk in assignments {
-                let results = &results;
-                scope.spawn(move |_| {
-                    for (idx, client) in chunk {
-                        let g = client.gradient(params, round);
-                        results.lock().push((idx, g));
-                    }
-                });
-            }
-        })
-        .expect("client gradient thread panicked");
-        let mut out = results.into_inner();
-        out.sort_by_key(|(idx, _)| *idx);
-        out
+        fuiov_tensor::pool::par_for_each_mut(&mut work, 1, |_, (_, client, g)| {
+            *g = client.gradient(params, round);
+        });
+        work.into_iter().map(|(idx, _, g)| (idx, g)).collect()
     }
 
     /// Runs all configured rounds following a churn schedule; vehicle `v`

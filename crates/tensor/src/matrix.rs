@@ -75,13 +75,14 @@ impl Mat {
     pub fn from_cols<C: AsRef<[f32]>>(cols: &[C]) -> Self {
         assert!(!cols.is_empty(), "from_cols: no columns");
         let dim = cols[0].as_ref().len();
+        for c in cols {
+            assert_eq!(c.as_ref().len(), dim, "from_cols: ragged columns");
+        }
         let k = cols.len();
         let mut m = Mat::zeros(dim, k);
         for (j, c) in cols.iter().enumerate() {
-            let c = c.as_ref();
-            assert_eq!(c.len(), dim, "from_cols: ragged columns");
-            for (i, &v) in c.iter().enumerate() {
-                m.set(i, j, v);
+            for (slot, &v) in m.data.iter_mut().skip(j).step_by(k).zip(c.as_ref()) {
+                *slot = v;
             }
         }
         m
@@ -354,40 +355,110 @@ impl Mat {
     /// Gram-style product `selfᵀ · other` (a `k × m` matrix for tall-skinny
     /// inputs `dim × k` and `dim × m`), accumulated in `f64`.
     ///
+    /// Output element `(i, j)` is one chain over ascending rows `r` of
+    /// `f64(a[r][i]) · f64(b[r][j])`, skipping rows where `a[r][i] == 0.0`,
+    /// rounded to `f32` once at the end. Two loop shapes compute exactly
+    /// these chains:
+    ///
+    /// - narrow outputs (`m < 8`, the L-BFGS grams): the chains of each 2×2
+    ///   output tile advance together in registers through one sweep over
+    ///   the rows. The skip is a select that adds `+0.0` instead, which
+    ///   leaves a chain's bits unchanged: a chain started at `+0.0` never
+    ///   holds `−0.0`, and a NaN chain stays that NaN;
+    /// - wide outputs (the conv backward's `Wᵀ·G`): each row of `a` updates
+    ///   whole output rows, so the compiler vectorises across `j`.
+    ///
     /// # Panics
     ///
     /// Panics if the row counts differ.
     pub fn tr_matmul(&self, other: &Mat) -> Mat {
         assert_eq!(self.rows, other.rows, "tr_matmul: row count mismatch");
-        let mut out = vec![0.0f64; self.cols * other.cols];
-        for r in 0..self.rows {
-            let a = self.row(r);
-            let b = other.row(r);
-            for (i, &ai) in a.iter().enumerate() {
-                if ai == 0.0 {
-                    continue;
+        let (k, m) = (self.cols, other.cols);
+        if k == 0 || m == 0 {
+            return Mat::zeros(k, m);
+        }
+        if m >= 8 {
+            let mut out = vec![0.0f64; k * m];
+            for (a, b) in self.data.chunks_exact(k).zip(other.data.chunks_exact(m)) {
+                for (&ai, out_i) in a.iter().zip(out.chunks_exact_mut(m)) {
+                    if ai == 0.0 {
+                        continue;
+                    }
+                    for (o, &bj) in out_i.iter_mut().zip(b) {
+                        *o += f64::from(ai) * f64::from(bj);
+                    }
                 }
-                for (j, &bj) in b.iter().enumerate() {
-                    out[i * other.cols + j] += f64::from(ai) * f64::from(bj);
+            }
+            return Mat::from_vec(k, m, out.into_iter().map(|x| x as f32).collect());
+        }
+        let mut out = vec![0.0f32; k * m];
+        for i in (0..k).step_by(2) {
+            for j in (0..m).step_by(2) {
+                match (k - i >= 2, m - j >= 2) {
+                    (true, true) => self.tr_tile::<2, 2>(other, i, j, &mut out),
+                    (true, false) => self.tr_tile::<2, 1>(other, i, j, &mut out),
+                    (false, true) => self.tr_tile::<1, 2>(other, i, j, &mut out),
+                    (false, false) => self.tr_tile::<1, 1>(other, i, j, &mut out),
                 }
             }
         }
-        Mat::from_vec(
-            self.cols,
-            other.cols,
-            out.into_iter().map(|x| x as f32).collect(),
-        )
+        Mat::from_vec(k, m, out)
+    }
+
+    /// One `TI × TJ` tile of [`Mat::tr_matmul`] at output `(i0, j0)`, its
+    /// chains held in registers across the row sweep.
+    fn tr_tile<const TI: usize, const TJ: usize>(
+        &self,
+        other: &Mat,
+        i0: usize,
+        j0: usize,
+        out: &mut [f32],
+    ) {
+        let mut acc = [[0.0f64; TJ]; TI];
+        let a_rows = self.data.chunks_exact(self.cols);
+        for (a, b) in a_rows.zip(other.data.chunks_exact(other.cols)) {
+            let a: [f32; TI] = a[i0..i0 + TI].try_into().expect("tile in bounds");
+            let b: [f32; TJ] = b[j0..j0 + TJ].try_into().expect("tile in bounds");
+            for (acc_i, &ai) in acc.iter_mut().zip(&a) {
+                // All products first, then the selects: this shape lets the
+                // compiler keep a tile row's chains in one vector register.
+                let terms: [f64; TJ] = std::array::from_fn(|u| f64::from(ai) * f64::from(b[u]));
+                let skip = ai == 0.0;
+                for (slot, term) in acc_i.iter_mut().zip(terms) {
+                    *slot += if skip { 0.0 } else { term };
+                }
+            }
+        }
+        for (t, acc_i) in acc.iter().enumerate() {
+            for (u, &v) in acc_i.iter().enumerate() {
+                out[(i0 + t) * other.cols + j0 + u] = v as f32;
+            }
+        }
     }
 
     /// Explicit transpose.
     pub fn transpose(&self) -> Mat {
-        let mut out = Mat::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.set(c, r, self.get(r, c));
+        let mut data = Vec::with_capacity(self.data.len());
+        self.extend_transposed(&mut data);
+        Mat::from_vec(self.cols, self.rows, data)
+    }
+
+    /// Appends `selfᵀ` (row-major `cols × rows`: column `c` of `self`
+    /// becomes the `c`-th run of `rows` values) to `out`. This is how the
+    /// batched recovery engine stacks factor columns as rows, one pass per
+    /// factor and no allocation per column.
+    pub fn extend_transposed(&self, out: &mut Vec<f32>) {
+        let start = out.len();
+        out.resize(start + self.data.len(), 0.0);
+        if self.cols == 0 {
+            return;
+        }
+        let dst = &mut out[start..];
+        for (r, row) in self.data.chunks_exact(self.cols).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                dst[c * self.rows + r] = v;
             }
         }
-        out
     }
 
     /// Strictly-lower-triangular copy (Algorithm 2's `tril`, excluding the
@@ -690,7 +761,7 @@ fn gemm_tail(a_block: &[f32], b: &[f32], inner: usize, n: usize, j0: usize, out:
 ///   column-major vectors so the chains still consume ascending `j`.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{row_dot_scalar_from, row_dots_band_scalar, Mat, MICRO_COLS};
+    use super::{row_dot_scalar_from, Mat, MICRO_COLS};
     use std::arch::x86_64::*;
 
     /// AVX2 twin of `gemm_micro`: the full `R × MICRO_COLS` accumulator
@@ -748,7 +819,9 @@ mod x86 {
     /// in ascending `j`. The `vj == 0.0` skip stays a scalar branch
     /// (uniform across lanes, since `v` is shared by all rows). Column
     /// tails re-enter `row_dot_scalar_from` with the extracted lane
-    /// accumulators; row tails fall back to the scalar band.
+    /// accumulators. A last block of fewer than eight rows fills its spare
+    /// lanes with copies of its last row, so a band of any height runs at
+    /// block speed (a row's chain does not depend on its neighbours).
     ///
     /// # Safety
     ///
@@ -763,20 +836,24 @@ mod x86 {
     ) {
         let cols = m.cols;
         let mut r = rows.start;
-        while r + 8 <= rows.end {
-            let base = m.data.as_ptr().add(r * cols);
+        while r < rows.end {
+            // A short last block repeats its last row in the spare lanes
+            // (and drops their results): one block, not a scalar tail.
+            let lanes = (rows.end - r).min(8);
+            let p: [*const f32; 8] =
+                std::array::from_fn(|k| m.data.as_ptr().add((r + k.min(lanes - 1)) * cols));
             let mut acc_lo = _mm256_setzero_pd();
             let mut acc_hi = _mm256_setzero_pd();
             let mut j = 0;
             while j + 8 <= cols {
-                let r0 = _mm256_loadu_ps(base.add(j));
-                let r1 = _mm256_loadu_ps(base.add(cols + j));
-                let r2 = _mm256_loadu_ps(base.add(2 * cols + j));
-                let r3 = _mm256_loadu_ps(base.add(3 * cols + j));
-                let r4 = _mm256_loadu_ps(base.add(4 * cols + j));
-                let r5 = _mm256_loadu_ps(base.add(5 * cols + j));
-                let r6 = _mm256_loadu_ps(base.add(6 * cols + j));
-                let r7 = _mm256_loadu_ps(base.add(7 * cols + j));
+                let r0 = _mm256_loadu_ps(p[0].add(j));
+                let r1 = _mm256_loadu_ps(p[1].add(j));
+                let r2 = _mm256_loadu_ps(p[2].add(j));
+                let r3 = _mm256_loadu_ps(p[3].add(j));
+                let r4 = _mm256_loadu_ps(p[4].add(j));
+                let r5 = _mm256_loadu_ps(p[5].add(j));
+                let r6 = _mm256_loadu_ps(p[6].add(j));
+                let r7 = _mm256_loadu_ps(p[7].add(j));
                 // 8×8 transpose: pairs → quads → full lanes.
                 let t0 = _mm256_unpacklo_ps(r0, r1);
                 let t1 = _mm256_unpackhi_ps(r0, r1);
@@ -820,13 +897,11 @@ mod x86 {
             let mut acc = [0.0f64; 8];
             _mm256_storeu_pd(acc.as_mut_ptr(), acc_lo);
             _mm256_storeu_pd(acc.as_mut_ptr().add(4), acc_hi);
-            for (lane, &a) in acc.iter().enumerate() {
+            for (lane, &a) in acc.iter().enumerate().take(lanes) {
                 band[r - rows.start + lane] = row_dot_scalar_from(m.row(r + lane), v, j, a);
             }
-            r += 8;
+            r += lanes;
         }
-        let off = r - rows.start;
-        row_dots_band_scalar(m, v, r..rows.end, &mut band[off..]);
     }
 }
 

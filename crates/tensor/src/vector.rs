@@ -106,6 +106,132 @@ pub fn l2_norm(x: &[f32]) -> f32 {
         .sqrt() as f32
 }
 
+/// Rows per interleaved group of [`l2_norms_into`].
+const NORM_GROUP: usize = 4;
+
+/// Euclidean norms of several equal-length rows at once: `out[i]` is
+/// bitwise [`l2_norm`]`(rows[i])`.
+///
+/// One norm is a single chain of dependent `f64` adds, so it runs at the
+/// add latency, not the add throughput. This kernel advances four rows'
+/// chains side by side — one AVX2 `f64x4` vector whose lanes are rows,
+/// fed by an in-register 4×4 transpose, as [`crate::Mat::row_dots_into`]
+/// does for dots — so four norms cost about what one did. Each lane is
+/// still its row's own chain: `−0.0` start (the neutral element of
+/// `f64`'s `Sum`), ascending index, `mul` then `add` (never an FMA), one
+/// `sqrt` and one rounding to `f32` at the end. A short last group repeats
+/// its last row in the spare lanes and drops their results.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != out.len()` or the rows differ in length.
+pub fn l2_norms_into(rows: &[&[f32]], out: &mut [f32]) {
+    check_norm_rows(rows, out);
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::enabled() {
+        for (group, out) in rows.chunks(NORM_GROUP).zip(out.chunks_mut(NORM_GROUP)) {
+            // SAFETY: `simd::enabled()` implies the AVX2 probe passed.
+            let norms = unsafe { x86::l2_norms4_avx2(padded_group(group)) };
+            out.copy_from_slice(&norms[..out.len()]);
+        }
+        return;
+    }
+    l2_norms_into_scalar(rows, out);
+}
+
+/// The pinned scalar reference for [`l2_norms_into`]: the same four
+/// interleaved chains per group, never dispatched to SIMD.
+///
+/// # Panics
+///
+/// As [`l2_norms_into`].
+pub fn l2_norms_into_scalar(rows: &[&[f32]], out: &mut [f32]) {
+    check_norm_rows(rows, out);
+    for (group, out) in rows.chunks(NORM_GROUP).zip(out.chunks_mut(NORM_GROUP)) {
+        let [a0, a1, a2, a3] = padded_group(group);
+        let mut acc = [-0.0f64; NORM_GROUP];
+        for (((&x0, &x1), &x2), &x3) in a0.iter().zip(a1).zip(a2).zip(a3) {
+            acc[0] += f64::from(x0) * f64::from(x0);
+            acc[1] += f64::from(x1) * f64::from(x1);
+            acc[2] += f64::from(x2) * f64::from(x2);
+            acc[3] += f64::from(x3) * f64::from(x3);
+        }
+        for (o, a) in out.iter_mut().zip(acc) {
+            *o = a.sqrt() as f32;
+        }
+    }
+}
+
+fn check_norm_rows(rows: &[&[f32]], out: &[f32]) {
+    assert_eq!(
+        rows.len(),
+        out.len(),
+        "l2_norms_into: output length mismatch"
+    );
+    let len = rows.first().map_or(0, |r| r.len());
+    assert!(
+        rows.iter().all(|r| r.len() == len),
+        "l2_norms_into: rows differ in length"
+    );
+}
+
+/// A group of 1..=4 rows widened to four by repeating its last row.
+fn padded_group<'a>(group: &[&'a [f32]]) -> [&'a [f32]; NORM_GROUP] {
+    std::array::from_fn(|k| group[k.min(group.len() - 1)])
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    /// AVX2 twin of one `l2_norms_into_scalar` group: lane `k` is row
+    /// `k`'s chain. Each 4×4 tile (four elements of four rows) is loaded
+    /// row-major and transposed so that one vector holds element `j` of
+    /// every row; the lanes then consume ascending `j`, exactly as the
+    /// scalar chains do. Column tails continue each lane's chain in scalar.
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure AVX2 is available (runtime-probed by
+    /// `crate::simd::caps`) and that the four rows have equal length.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn l2_norms4_avx2(rows: [&[f32]; 4]) -> [f32; 4] {
+        let n = rows[0].len();
+        let p = rows.map(<[f32]>::as_ptr);
+        let mut acc = _mm256_set1_pd(-0.0);
+        let mut j = 0;
+        while j + 4 <= n {
+            let r0 = _mm_loadu_ps(p[0].add(j));
+            let r1 = _mm_loadu_ps(p[1].add(j));
+            let r2 = _mm_loadu_ps(p[2].add(j));
+            let r3 = _mm_loadu_ps(p[3].add(j));
+            let lo01 = _mm_unpacklo_ps(r0, r1);
+            let lo23 = _mm_unpacklo_ps(r2, r3);
+            let hi01 = _mm_unpackhi_ps(r0, r1);
+            let hi23 = _mm_unpackhi_ps(r2, r3);
+            let cols = [
+                _mm_movelh_ps(lo01, lo23),
+                _mm_movehl_ps(lo23, lo01),
+                _mm_movelh_ps(hi01, hi23),
+                _mm_movehl_ps(hi23, hi01),
+            ];
+            for c in cols {
+                let x = _mm256_cvtps_pd(c);
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(x, x));
+            }
+            j += 4;
+        }
+        let mut lanes = [0.0f64; 4];
+        _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
+        for (a, row) in lanes.iter_mut().zip(rows) {
+            for &x in &row[j..] {
+                *a += f64::from(x) * f64::from(x);
+            }
+        }
+        lanes.map(|a| a.sqrt() as f32)
+    }
+}
+
 /// Squared Euclidean norm `‖x‖₂²`.
 pub fn l2_norm_sq(x: &[f32]) -> f32 {
     x.iter().map(|a| f64::from(*a) * f64::from(*a)).sum::<f64>() as f32

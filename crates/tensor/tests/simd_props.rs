@@ -7,7 +7,7 @@
 //! so every tail-residue class of the 4- and 8-lane kernels — ragged
 //! 8-column groups, ragged 8-row blocks, sub-width inputs — is hit.
 
-use fuiov_tensor::{simd, Mat};
+use fuiov_tensor::{simd, vector, Mat};
 use proptest::prelude::*;
 
 /// Finite values with a deliberate sprinkle of exact zeros, so the
@@ -16,6 +16,22 @@ fn kernel_f32() -> impl Strategy<Value = f32> {
     (any::<u8>(), -100.0f32..100.0).prop_map(|(z, v)| match z % 8 {
         0 | 1 => 0.0,
         2 => -0.0,
+        _ => v,
+    })
+}
+
+/// [`kernel_f32`] plus the operands a reduction must carry through
+/// unchanged: infinities, NaN (one payload, so a chain's NaN bits do not
+/// depend on which NaN an add keeps), and huge and subnormal magnitudes.
+fn edge_f32() -> impl Strategy<Value = f32> {
+    (any::<u8>(), -100.0f32..100.0).prop_map(|(z, v)| match z % 16 {
+        0 | 1 => 0.0,
+        2 => -0.0,
+        3 => f32::INFINITY,
+        4 => f32::NEG_INFINITY,
+        5 => f32::NAN,
+        6 => v * 1e36,
+        7 => v * 1e-40,
         _ => v,
     })
 }
@@ -73,8 +89,89 @@ fn row_dots_case() -> impl Strategy<Value = (usize, usize, Vec<f32>, Vec<f32>)> 
     })
 }
 
+/// Up to nine equal-length rows (every group residue of the 4-row norm
+/// kernel, and a second group) of length `0..=67`.
+fn norm_rows_case() -> impl Strategy<Value = Vec<Vec<f32>>> {
+    (0usize..=9, 0usize..=67).prop_flat_map(|(rows, len)| {
+        prop::collection::vec(prop::collection::vec(edge_f32(), len), rows)
+    })
+}
+
+/// `a` (`rows × k`) and `b` (`rows × m`) for `aᵀ·b`, with `m` on both sides
+/// of the register-tile / row-streaming split at 8 columns.
+#[allow(clippy::type_complexity)]
+fn tr_matmul_case() -> impl Strategy<Value = (usize, usize, usize, Vec<f32>, Vec<f32>)> {
+    (0usize..=67, 0usize..=5, 0usize..=11).prop_flat_map(|(rows, k, m)| {
+        (
+            Just(rows),
+            Just(k),
+            Just(m),
+            prop::collection::vec(edge_f32(), rows * k),
+            prop::collection::vec(edge_f32(), rows * m),
+        )
+    })
+}
+
+/// The row-by-row `aᵀ·b` that `Mat::tr_matmul` must reproduce: for each row
+/// `r`, each `i` with `a[r][i] != 0.0` adds `f64(a[r][i]) · f64(b[r][j])`
+/// into a heap `f64` accumulator for every `j`; one rounding at the end.
+fn tr_matmul_reference(a: &Mat, b: &Mat) -> Vec<f32> {
+    let (k, m) = (a.cols(), b.cols());
+    let mut out = vec![0.0f64; k * m];
+    for r in 0..a.rows() {
+        for (i, &ai) in a.row(r).iter().enumerate() {
+            if ai == 0.0 {
+                continue;
+            }
+            for (j, &bj) in b.row(r).iter().enumerate() {
+                out[i * m + j] += f64::from(ai) * f64::from(bj);
+            }
+        }
+    }
+    out.into_iter().map(|x| x as f32).collect()
+}
+
+/// Bits, with every NaN mapped to one value: when two NaNs meet in an add
+/// (an `inf · 0` product and a NaN operand), which payload survives is the
+/// compiler's operand order, not the algorithm's.
+fn bits_nan_canonical(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn multi_row_norms_equal_per_row_l2_norm_bitwise(rows in norm_rows_case()) {
+        let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+        let expected: Vec<f32> = refs.iter().map(|r| vector::l2_norm(r)).collect();
+        let mut scalar = vec![7.0f32; refs.len()];
+        vector::l2_norms_into_scalar(&refs, &mut scalar);
+        let mut fast = vec![-7.0f32; refs.len()];
+        with_forced_simd(|| vector::l2_norms_into(&refs, &mut fast));
+        let mut slow = vec![3.0f32; refs.len()];
+        with_forced_scalar(|| vector::l2_norms_into(&refs, &mut slow));
+        let len = refs.first().map_or(0, |r| r.len());
+        prop_assert_eq!(bits(&scalar), bits(&expected), "scalar twin, {} rows of {}", refs.len(), len);
+        prop_assert_eq!(bits(&fast), bits(&expected), "simd, {} rows of {}", refs.len(), len);
+        prop_assert_eq!(bits(&slow), bits(&expected), "dispatched scalar, {} rows of {}", refs.len(), len);
+    }
+
+    #[test]
+    fn tr_matmul_matches_row_by_row_reference((rows, k, m, a_data, b_data) in tr_matmul_case()) {
+        let a = Mat::from_vec(rows, k, a_data);
+        let b = Mat::from_vec(rows, m, b_data);
+        let expected = bits_nan_canonical(&tr_matmul_reference(&a, &b));
+        let fast = with_forced_simd(|| a.tr_matmul(&b));
+        let slow = with_forced_scalar(|| a.tr_matmul(&b));
+        prop_assert_eq!((fast.rows(), fast.cols()), (k, m));
+        prop_assert_eq!(bits_nan_canonical(fast.as_slice()), expected.clone(),
+            "SIMD on, {}x{} by {}x{}", rows, k, rows, m);
+        prop_assert_eq!(bits_nan_canonical(slow.as_slice()), expected,
+            "SIMD off, {}x{} by {}x{}", rows, k, rows, m);
+    }
 
     #[test]
     fn gemm_simd_matches_scalar_bitwise((m, k, n, a_data, b_data) in gemm_case()) {

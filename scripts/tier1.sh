@@ -96,6 +96,18 @@ stage_jobs() {
   FUIOV_SIMD=0 cargo test -p fuiov -q --test job_resume_oracles
 }
 
+stage_threads() {
+  # The replay pins, the job crash/resume oracles and the golden trace at
+  # one worker and at three: the odd width gives uneven bands on the
+  # persistent pool (and a lazily grown worker set), and every digest
+  # must still match the serial run bit for bit.
+  for threads in 1 3; do
+    FUIOV_THREADS="$threads" cargo test -p fuiov-core -q --test replay_pinned
+    FUIOV_THREADS="$threads" cargo test -p fuiov -q --test job_resume_oracles
+    FUIOV_THREADS="$threads" cargo test -p fuiov-testkit -q --test golden_trace
+  done
+}
+
 stage_simd_off() {
   # The whole suite again with the SIMD kill switch thrown, pinning every
   # runtime-dispatched kernel to its scalar reference — the suite must
@@ -154,7 +166,7 @@ stage_bench_smoke() {
   cargo run --release -q -p fuiov-lab --bin lab -- bench-smoke
 }
 
-ALL_STAGES="guard build test fmt clippy doc golden fault_matrix tier_invariance jobs scale net simd_off lab bench_smoke"
+ALL_STAGES="guard build test fmt clippy doc golden fault_matrix tier_invariance jobs threads scale net simd_off lab bench_smoke"
 
 stages() {
   echo "$ALL_STAGES" | tr ' ' '\n'

@@ -70,7 +70,7 @@ fn ci_runs_the_same_stages_as_tier1() {
         }
     }
     assert!(
-        invoked >= 10,
+        invoked >= 16,
         "ci.yml must drive its checks through tier1.sh stages, found {invoked}"
     );
 }
